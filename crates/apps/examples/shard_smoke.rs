@@ -1,28 +1,30 @@
 //! Quick cross-check harness: run Water at several sizes and shard
 //! counts and diff per-node stats against the single-shard run.
 //!
-//! With no env vars set, the baseline is the legacy engine, so the
-//! expected output shows the documented `idle_time`/`polls_empty`
-//! placement difference (DESIGN.md §12) and nothing else. With
-//! `OAM_SHARD_FORCE_EPOCH=1` the baseline is the epoch engine at one
-//! shard and every diff disappears — the partition-invariance check.
+//! By default the baseline is the legacy engine, so the expected output
+//! shows the documented `idle_time`/`polls_empty` placement difference
+//! (DESIGN.md §12) and nothing else. With `--force-epoch` the baseline is
+//! the epoch engine at one shard (`ShardTuning::force_epoch`) and every
+//! diff disappears — the partition-invariance check.
 //! `OAM_SMOKE_VERBOSE=1` dumps the full per-node stats for any node
 //! that differs.
 //!
 //! ```sh
 //! cargo run --release -p oam-apps --example shard_smoke
-//! OAM_SHARD_FORCE_EPOCH=1 cargo run --release -p oam-apps --example shard_smoke
+//! cargo run --release -p oam-apps --example shard_smoke -- --force-epoch
 //! ```
 
 use oam_apps::water::{WaterParams, WaterVariant};
 use oam_apps::{water, System};
-use oam_model::MachineConfig;
+use oam_model::{MachineConfig, ShardTuning};
 
 fn main() {
+    let force_epoch = std::env::args().skip(1).any(|a| a == "--force-epoch");
+    let tuning = ShardTuning { force_epoch: Some(force_epoch), ..Default::default() };
     for nodes in [8usize, 16, 32, 64] {
         let p = WaterParams { molecules: nodes * 2, iters: 2 };
         let v = WaterVariant { system: System::Orpc, barrier: true };
-        let base = water::run_configured(v, MachineConfig::cm5(nodes), p);
+        let base = water::run_configured(v, MachineConfig::cm5(nodes).with_tuning(tuning), p);
         for shards in [2usize, 4] {
             let out = water::run_configured(v, MachineConfig::cm5(nodes).with_shards(shards), p);
             let mut diffs = Vec::new();

@@ -12,12 +12,14 @@ pub mod collective;
 pub mod machine;
 pub mod native_run;
 pub mod openloop;
+pub mod plan;
 pub mod shard_run;
 pub mod watchdog;
 
 pub use collective::{Collectives, Reducer};
 pub use machine::{Machine, MachineBuilder, NodeEnv, RunReport};
-pub use native_run::{run_native, try_run_native, NativeMsg};
+pub use native_run::{try_run_native, NativeMsg};
 pub use openloop::{arrivals_for, pace_until, Arrival, CallClass, OpenLoopConfig, OpenLoopTracker};
+pub use plan::{Coercion, Engine, PlanError, RunPlan};
 pub use shard_run::{run_partitioned, CrossMsg, ShardApp};
-pub use watchdog::{budget_from_env, HangKind, HangReport, NodeHangInfo};
+pub use watchdog::{HangKind, HangReport, NodeHangInfo};

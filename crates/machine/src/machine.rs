@@ -14,7 +14,8 @@ use oam_rpc::Rpc;
 use oam_sim::Sim;
 use oam_threads::{Flag, Node};
 
-use crate::collective::Collectives;
+use crate::collective::{Collectives, ShardCollectives};
+use crate::plan::RunPlan;
 use crate::watchdog::{HangKind, HangReport, NodeHangInfo};
 
 /// Configures and builds a [`Machine`].
@@ -111,27 +112,14 @@ impl MachineBuilder {
         self.cfg.validate().expect("invalid machine configuration");
         let cfg = Rc::new(self.cfg);
         let sim = Sim::new(cfg.seed);
-        let stats: Vec<Rc<RefCell<NodeStats>>> =
-            (0..cfg.nodes).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-        let net = Network::new(&sim, NetConfig::from_machine(&cfg), stats.clone());
-        let nodes: Vec<Node> = (0..cfg.nodes)
-            .map(|i| Node::new(&sim, NodeId(i), cfg.nodes, Rc::clone(&cfg), Rc::clone(&stats[i])))
-            .collect();
-        let am = Am::new(net.clone(), Rc::clone(&cfg), nodes.clone());
-        if cfg.fault_plan.is_some() {
+        let machine = assemble(cfg, sim, Network::new, None);
+        if machine.cfg.fault_plan.is_some() {
             // Route fabric fault events (drops, dups, delays) to the sending
             // node's trace observer so they appear on its timeline.
-            let hook_nodes = nodes.clone();
-            net.set_fault_hook(move |src, kind| hook_nodes[src.index()].emit(kind));
+            let hook_nodes = machine.nodes.clone();
+            machine.net.set_fault_hook(move |src, kind| hook_nodes[src.index()].emit(kind));
         }
-        let rpc = Rpc::new(am.clone());
-        let coll = Collectives::new(
-            &sim,
-            nodes.clone(),
-            cfg.cost.barrier_latency,
-            cfg.cost.reduction_latency,
-        );
-        Machine { sim, cfg, stats, net, am, rpc, coll, nodes }
+        machine
     }
 
     /// Build one shard of a partitioned machine: keyed simulator, epoch-mode
@@ -146,37 +134,19 @@ impl MachineBuilder {
             "fault injection draws from the global RNG in pump order; run single-shard"
         );
         assert_eq!(owners.len(), self.cfg.nodes, "owner table must cover every node");
-        let cfg = Rc::new(self.cfg);
-        let sim = Sim::new_keyed(cfg.seed, cfg.nodes);
-        let stats: Vec<Rc<RefCell<NodeStats>>> =
-            (0..cfg.nodes).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-        let net = Network::new_epoch(
-            &sim,
-            NetConfig::from_machine(&cfg),
-            stats.clone(),
-            owners.to_vec(),
-            shard,
-        );
-        let nodes: Vec<Node> = (0..cfg.nodes)
-            .map(|i| Node::new(&sim, NodeId(i), cfg.nodes, Rc::clone(&cfg), Rc::clone(&stats[i])))
-            .collect();
-        let am = Am::new(net.clone(), Rc::clone(&cfg), nodes.clone());
-        let rpc = Rpc::new(am.clone());
         let first = owners.iter().position(|&s| s == shard).expect("shard owns at least one node");
         let last = owners.iter().rposition(|&s| s == shard).expect("shard owns at least one node");
         debug_assert!(
             owners[first..=last].iter().all(|&s| s == shard),
             "shard ownership must be a contiguous node range"
         );
-        let ctx = Rc::new(crate::collective::ShardCollectives::new(first..last + 1, lookahead));
-        let coll = Collectives::new_sharded(
-            &sim,
-            nodes.clone(),
-            cfg.cost.barrier_latency,
-            cfg.cost.reduction_latency,
-            ctx,
-        );
-        Machine { sim, cfg, stats, net, am, rpc, coll, nodes }
+        let cfg = Rc::new(self.cfg);
+        let sim = Sim::new_keyed(cfg.seed, cfg.nodes);
+        let net = |sim: &Sim, net_cfg, stats| {
+            Network::new_epoch(sim, net_cfg, stats, owners.to_vec(), shard)
+        };
+        let ctx = ShardCollectives::new(first..last + 1, lookahead);
+        assemble(cfg, sim, net, Some(Rc::new(ctx)))
     }
 
     /// Build the single-node replica a native (host-threads) run drives on
@@ -198,32 +168,38 @@ impl MachineBuilder {
         assert!(node < self.cfg.nodes, "node index out of range");
         let cfg = Rc::new(self.cfg);
         let sim = Sim::new_native(cfg.seed, cfg.nodes, clock);
-        let stats: Vec<Rc<RefCell<NodeStats>>> =
-            (0..cfg.nodes).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
         let owners: Vec<usize> = (0..cfg.nodes).collect();
-        let net = Network::new_backend(
-            &sim,
-            NetConfig::from_machine(&cfg),
-            stats.clone(),
-            owners,
-            node,
-            port,
-        );
-        let nodes: Vec<Node> = (0..cfg.nodes)
-            .map(|i| Node::new(&sim, NodeId(i), cfg.nodes, Rc::clone(&cfg), Rc::clone(&stats[i])))
-            .collect();
-        let am = Am::new(net.clone(), Rc::clone(&cfg), nodes.clone());
-        let rpc = Rpc::new(am.clone());
-        let ctx = Rc::new(crate::collective::ShardCollectives::new(node..node + 1, lookahead));
-        let coll = Collectives::new_sharded(
-            &sim,
-            nodes.clone(),
-            cfg.cost.barrier_latency,
-            cfg.cost.reduction_latency,
-            ctx,
-        );
-        Machine { sim, cfg, stats, net, am, rpc, coll, nodes }
+        let net = |sim: &Sim, net_cfg, stats| {
+            Network::new_backend(sim, net_cfg, stats, owners, node, port)
+        };
+        let ctx = ShardCollectives::new(node..node + 1, lookahead);
+        assemble(cfg, sim, net, Some(Rc::new(ctx)))
     }
+}
+
+/// Wire the layers every build shares onto `sim`: per-node stats, the
+/// fabric `net` makes, node runtimes, AM, RPC, and collectives (shard
+/// replicas when `ctx` is given).
+fn assemble(
+    cfg: Rc<MachineConfig>,
+    sim: Sim,
+    net: impl FnOnce(&Sim, NetConfig, Vec<Rc<RefCell<NodeStats>>>) -> Network,
+    ctx: Option<Rc<ShardCollectives>>,
+) -> Machine {
+    let stats: Vec<Rc<RefCell<NodeStats>>> =
+        (0..cfg.nodes).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
+    let net = net(&sim, NetConfig::from_machine(&cfg), stats.clone());
+    let nodes: Vec<Node> = (0..cfg.nodes)
+        .map(|i| Node::new(&sim, NodeId(i), cfg.nodes, Rc::clone(&cfg), Rc::clone(&stats[i])))
+        .collect();
+    let am = Am::new(net.clone(), Rc::clone(&cfg), nodes.clone());
+    let rpc = Rpc::new(am.clone());
+    let (barrier, reduction) = (cfg.cost.barrier_latency, cfg.cost.reduction_latency);
+    let coll = match ctx {
+        Some(ctx) => Collectives::new_sharded(&sim, nodes.clone(), barrier, reduction, ctx),
+        None => Collectives::new(&sim, nodes.clone(), barrier, reduction),
+    };
+    Machine { sim, cfg, stats, net, am, rpc, coll, nodes }
 }
 
 /// A fully wired simulated multicomputer.
@@ -252,6 +228,8 @@ pub struct RunReport {
     pub events: u64,
     /// High-water mark of the simulator's event queue during the run.
     pub peak_queue_depth: u64,
+    /// What the run executed with.
+    pub plan: RunPlan,
 }
 
 impl RunReport {
@@ -332,25 +310,10 @@ impl Machine {
         F: Fn(NodeEnv) -> Fut,
         Fut: Future<Output = ()> + 'static,
     {
-        let done: Vec<Flag> = (0..self.cfg.nodes).map(|_| Flag::new()).collect();
-        for (i, flag) in done.iter().enumerate() {
-            let env = self.env(i);
-            let fut = main(env);
-            let flag = flag.clone();
-            self.nodes[i].spawn(async move {
-                fut.await;
-                flag.set();
-            });
-        }
+        let done: Vec<Flag> = (0..self.cfg.nodes).map(|i| self.spawn_main(i, &main)).collect();
         let end_time = self.sim.run();
         let completed = done.iter().all(Flag::get);
-        RunReport {
-            end_time,
-            stats: self.harvest(),
-            completed,
-            events: self.sim.events_executed(),
-            peak_queue_depth: self.sim.peak_event_queue_depth(),
-        }
+        self.report(end_time, completed, RunPlan::direct(&self.cfg))
     }
 
     /// Run `main` on every node under a virtual-time budget, with hang
@@ -361,55 +324,72 @@ impl Machine {
     /// budget ran out, with per-node scheduler snapshots, outstanding-call
     /// counts, and in-flight packets.
     ///
-    /// The budget can be overridden without code changes through the
-    /// `OAM_WATCHDOG_MS` environment variable (virtual milliseconds); see
-    /// [`crate::watchdog::budget_from_env`].
+    /// `OAM_WATCHDOG_MS` (virtual milliseconds) replaces the budget without
+    /// code changes; see [`crate::plan`].
+    ///
+    /// # Panics
+    /// Panics with the [`crate::PlanError`] text if a run setting in the
+    /// environment is malformed or retired.
     pub fn run_with_watchdog<F, Fut>(&self, budget: Time, main: F) -> Result<RunReport, HangReport>
     where
         F: Fn(NodeEnv) -> Fut,
         Fut: Future<Output = ()> + 'static,
     {
-        let budget = crate::watchdog::budget_from_env(budget);
-        let done: Vec<Flag> = (0..self.cfg.nodes).map(|_| Flag::new()).collect();
-        for (i, flag) in done.iter().enumerate() {
-            let env = self.env(i);
-            let fut = main(env);
-            let flag = flag.clone();
-            self.nodes[i].spawn(async move {
-                fut.await;
-                flag.set();
-            });
-        }
+        let resolved = RunPlan::resolve(&self.cfg).unwrap_or_else(|e| panic!("{e}"));
+        let budget = resolved.watchdog.unwrap_or(budget);
+        let plan = RunPlan { watchdog: Some(budget), ..RunPlan::direct(&self.cfg) };
+        let done: Vec<Flag> = (0..self.cfg.nodes).map(|i| self.spawn_main(i, &main)).collect();
         let quiesced = self.sim.run_with_deadline(budget);
         let completed = done.iter().all(Flag::get);
         if quiesced && completed {
-            return Ok(RunReport {
-                end_time: self.sim.now(),
-                stats: self.harvest(),
-                completed: true,
-                events: self.sim.events_executed(),
-                peak_queue_depth: self.sim.peak_event_queue_depth(),
-            });
+            return Ok(self.report(self.sim.now(), true, plan));
         }
-        let kind = if quiesced { HangKind::Deadlock } else { HangKind::BudgetExceeded };
-        let nodes = self
-            .nodes
-            .iter()
-            .zip(&done)
-            .map(|(node, flag)| NodeHangInfo {
-                diag: node.diagnostics(),
-                outstanding_calls: self.rpc.outstanding_calls(node.id()),
-                input_queue_depth: self.net.input_depth(node.id()),
-                main_done: flag.get(),
-            })
-            .collect();
         Err(HangReport {
-            kind,
+            kind: if quiesced { HangKind::Deadlock } else { HangKind::BudgetExceeded },
             at: self.sim.now(),
-            nodes,
+            nodes: done.iter().enumerate().map(|(i, flag)| self.hang_info(i, flag.get())).collect(),
             in_flight_packets: self.net.in_flight(),
             events: self.sim.events_executed(),
+            plan: Box::new(plan),
         })
+    }
+
+    /// Spawn `main` on node `i`; the returned flag is set when it completes.
+    pub(crate) fn spawn_main<Fut: Future<Output = ()> + 'static>(
+        &self,
+        i: usize,
+        main: impl FnOnce(NodeEnv) -> Fut,
+    ) -> Flag {
+        let done = Flag::new();
+        let fut = main(self.env(i));
+        let flag = done.clone();
+        self.nodes[i].spawn(async move {
+            fut.await;
+            flag.set();
+        });
+        done
+    }
+
+    /// Node `i`'s slice of a hang report.
+    pub(crate) fn hang_info(&self, i: usize, main_done: bool) -> NodeHangInfo {
+        let id = NodeId(i);
+        NodeHangInfo {
+            diag: self.nodes[i].diagnostics(),
+            outstanding_calls: self.rpc.outstanding_calls(id),
+            input_queue_depth: self.net.input_depth(id),
+            main_done,
+        }
+    }
+
+    fn report(&self, end_time: Time, completed: bool, plan: RunPlan) -> RunReport {
+        RunReport {
+            end_time,
+            stats: self.harvest(),
+            completed,
+            events: self.sim.events_executed(),
+            peak_queue_depth: self.sim.peak_event_queue_depth(),
+            plan,
+        }
     }
 
     /// Snapshot all nodes' statistics, labelled with the registered method

@@ -10,8 +10,8 @@
 //! sender-side batcher ([`oam_net::BatchTx`]) in front of a bounded
 //! lock-free SPSC ring per directed node pair, and every replica's clock
 //! is the shared [`WallClock`]. Deposits coalesce until a flush boundary
-//! — the batch high-water mark (`cfg.effective_batch()`; `OAM_BATCH=1`
-//! is the per-message reference path) or the end of a handler-run pass —
+//! — the batch high-water mark ([`RunPlan::batch`]; `OAM_BATCH=1` is the
+//! per-message reference path) or the end of a handler-run pass —
 //! and each flush issues at most one wake signal through the consumer's
 //! [`oam_net::WakeGate`], so a burst of small AMs costs one wake, not N.
 //! Modeled compute charges pace in *real* time, and event order across
@@ -23,33 +23,32 @@
 //! barrier: short gaps to the next due event spin-poll the rings, longer
 //! waits publish a parked state and re-check before parking (the
 //! no-lost-wake Dekker protocol in `oam_net::ring`), bounded by
-//! [`MAX_PARK`] so a thread's view of the stop flag never goes stale.
+//! `MAX_PARK` so a thread's view of the stop flag never goes stale.
 //!
 //! Termination is a two-phase protocol. Each thread reports its main's
 //! completion to the coordinator (the caller's thread); once every main
 //! has reported — or a *real-time* watchdog budget expires — the
 //! coordinator raises a stop flag and wakes every gate, so threads
 //! parked on empty rings exit promptly. Threads then harvest their
-//! replica (stats, scheduler diagnostics) and join; on timeout the
-//! per-node snapshots become a [`HangReport`].
+//! replica into the same `ReplicaExit` the shard workers produce and
+//! join; on timeout the per-node snapshots become a [`HangReport`].
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use oam_model::{EngineCounters, MachineConfig, MachineStats, NodeId, NodeStats, Time};
+use oam_model::{Backend, EngineCounters, MachineConfig, Time};
 use oam_net::{spsc, BatchTx, CrossNet, RingRx, RingTx, WakeGate};
 use oam_sim::WallClock;
-use oam_threads::{Flag, NodeDiag};
 
 use crate::collective::ReduceRecord;
 use crate::machine::{Machine, MachineBuilder, RunReport};
-use crate::shard_run::{conservative_lookahead, ShardApp};
-use crate::watchdog::{budget_from_env, HangKind, HangReport, NodeHangInfo};
+use crate::plan::{Engine, RunPlan};
+use crate::shard_run::{conservative_lookahead, merge, ReplicaExit, ShardApp};
+use crate::watchdog::{HangKind, HangReport};
 
 /// A record crossing node threads on the native backend.
 pub enum NativeMsg {
@@ -61,7 +60,7 @@ pub enum NativeMsg {
 
 /// Default real-time watchdog budget for a native run. Generous because
 /// wall time covers real modeled compute charges; `OAM_WATCHDOG_MS`
-/// overrides it (interpreted as *real* milliseconds here).
+/// replaces it (interpreted as *real* milliseconds here).
 const DEFAULT_BUDGET: Time = Time::from_nanos(30_000_000_000);
 
 /// Events fired per [`oam_sim::Sim::run_wall`] pass before the node loop
@@ -83,60 +82,46 @@ fn ring_capacity(batch: u32) -> usize {
     (4 * batch as usize).clamp(64, 1024).next_power_of_two()
 }
 
-/// What a node thread carries back to the coordinator at join.
-struct NodeExit<R> {
-    node: usize,
-    main_done: bool,
-    end_time: Time,
-    events: u64,
-    peak_queue_depth: u64,
-    stats: NodeStats,
-    diag: NodeDiag,
-    outstanding_calls: usize,
-    input_queue_depth: usize,
-    method_names: Option<BTreeMap<u32, String>>,
-    answer: Option<R>,
-    /// Delivery counters: this node's deposits/batches as a producer plus
-    /// the wake signals it received as a consumer.
-    engine: EngineCounters,
-}
-
-/// Run an application on the native backend: `cfg.nodes` OS threads,
-/// ring-delivered packets, wall-clock pacing. Same contract as
-/// [`crate::run_partitioned`] (which delegates here when
-/// `cfg.effective_backend()` is native): `setup` runs once per node
-/// thread against that thread's replica and must register the same
-/// handlers in the same order everywhere; the answer comes from node 0.
+/// Run an application on the native backend with an explicit *real-time*
+/// budget, returning the hang diagnosis instead of panicking: `cfg.nodes`
+/// OS threads, ring-delivered packets, wall-clock pacing. Same `setup`
+/// contract as [`crate::run_partitioned`], which runs here when its plan
+/// selects the native backend: `setup` runs once per node thread against
+/// that thread's replica and must register the same handlers in the same
+/// order everywhere; the answer comes from node 0. `OAM_WATCHDOG_MS`
+/// replaces `budget`.
+///
+/// All node threads are joined before this returns, whichever way the run
+/// ends: the shutdown wake reaches even threads parked on empty rings, so
+/// a hung handler leaks nothing.
 ///
 /// # Panics
-/// Panics with the [`HangReport`] display if the run does not complete
-/// within the real-time watchdog budget (default 30 s, `OAM_WATCHDOG_MS`
-/// to override).
-pub fn run_native<R: Send + 'static>(
-    cfg: MachineConfig,
-    setup: impl Fn(&Machine) -> ShardApp<R> + Send + Sync,
-) -> (RunReport, R) {
-    match try_run_native(cfg, budget_from_env(DEFAULT_BUDGET), setup) {
-        Ok(out) => out,
-        Err(hang) => panic!("native run did not complete:\n{hang}"),
-    }
-}
-
-/// As [`run_native`], but with an explicit *real-time* budget, returning
-/// the hang diagnosis instead of panicking. All node threads are joined
-/// before this returns, whichever way the run ends: the shutdown wake
-/// reaches even threads parked on empty rings, so a hung handler leaks
-/// nothing.
+/// Panics with the [`crate::PlanError`] text if a run setting in the
+/// environment is malformed or retired, and if `cfg` carries a fault plan.
 pub fn try_run_native<R: Send + 'static>(
     cfg: MachineConfig,
     budget: Time,
     setup: impl Fn(&Machine) -> ShardApp<R> + Send + Sync,
 ) -> Result<(RunReport, R), HangReport> {
+    let cfg = cfg.with_backend(Backend::Native);
+    let mut plan = RunPlan::resolve(&cfg).unwrap_or_else(|e| panic!("{e}"));
+    plan.watchdog.get_or_insert(budget);
+    run(cfg, plan, setup)
+}
+
+/// Run `cfg` under a native `plan`; the budget is `plan.watchdog`, else
+/// [`DEFAULT_BUDGET`].
+pub(crate) fn run<R: Send + 'static>(
+    cfg: MachineConfig,
+    mut plan: RunPlan,
+    setup: impl Fn(&Machine) -> ShardApp<R> + Send + Sync,
+) -> Result<(RunReport, R), HangReport> {
     cfg.validate().expect("invalid machine configuration");
-    assert!(cfg.fault_plan.is_none(), "the native backend requires a lossless fabric");
+    assert_eq!(plan.engine, Engine::Native, "the native backend requires a lossless fabric");
+    let budget = *plan.watchdog.get_or_insert(DEFAULT_BUDGET);
+    let batch = plan.batch;
     let nodes = cfg.nodes;
     let lookahead = conservative_lookahead(&cfg);
-    let batch = cfg.effective_batch();
     let clock = Arc::new(WallClock::start());
     let stop = Arc::new(AtomicBool::new(false));
     let gates: Vec<Arc<WakeGate>> = (0..nodes).map(|_| Arc::new(WakeGate::new())).collect();
@@ -161,7 +146,7 @@ pub fn try_run_native<R: Send + 'static>(
     let (done_tx, done_rx) = mpsc::channel::<usize>();
 
     let mut timed_out = false;
-    let exits: Vec<NodeExit<R>> = std::thread::scope(|scope| {
+    let exits: Vec<ReplicaExit<R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = tx_mat
             .into_iter()
             .zip(rx_mat)
@@ -208,58 +193,19 @@ pub fn try_run_native<R: Send + 'static>(
         handles.into_iter().map(|h| h.join().expect("node thread panicked")).collect()
     });
 
+    let at = clock.now();
+    let (report, nodes, answer) = merge(exits, plan);
     if timed_out {
         return Err(HangReport {
             kind: HangKind::BudgetExceeded,
-            at: clock.now(),
-            in_flight_packets: exits.iter().map(|e| e.input_queue_depth).sum(),
-            events: exits.iter().map(|e| e.events).sum(),
-            nodes: exits
-                .into_iter()
-                .map(|e| NodeHangInfo {
-                    diag: e.diag,
-                    outstanding_calls: e.outstanding_calls,
-                    input_queue_depth: e.input_queue_depth,
-                    main_done: e.main_done,
-                })
-                .collect(),
+            at,
+            in_flight_packets: nodes.iter().map(|n| n.input_queue_depth).sum(),
+            events: report.events,
+            nodes,
+            plan: Box::new(report.plan),
         });
     }
-
-    // Merge exactly like the sharded engine: per-node stats reassembled by
-    // id, counters summed or maxed, the answer taken from node 0.
-    let mut per_node: Vec<Option<NodeStats>> = vec![None; nodes];
-    let mut end_time = Time::ZERO;
-    let mut events = 0u64;
-    let mut peak = 0u64;
-    let mut completed = true;
-    let mut answer = None;
-    let mut method_names = None;
-    let mut engine = EngineCounters::default();
-    for e in exits {
-        end_time = end_time.max(e.end_time);
-        events += e.events;
-        peak = peak.max(e.peak_queue_depth);
-        completed &= e.main_done;
-        per_node[e.node] = Some(e.stats);
-        if let Some(a) = e.answer {
-            answer = Some(a);
-        }
-        if let Some(m) = e.method_names {
-            method_names = Some(m);
-        }
-        // No epochs on the native backend: only delivery counters, which
-        // sum across node threads.
-        engine.deposits += e.engine.deposits;
-        engine.batches += e.engine.batches;
-        engine.wakes += e.engine.wakes;
-    }
-    assert!(completed, "native run incomplete without a watchdog timeout");
-    let stats =
-        MachineStats::new(per_node.into_iter().map(|s| s.expect("one exit per node")).collect())
-            .with_method_names(method_names.unwrap_or_default())
-            .with_engine(engine);
-    let report = RunReport { end_time, stats, completed, events, peak_queue_depth: peak };
+    assert!(report.completed, "native run incomplete without a watchdog timeout");
     Ok((report, answer.expect("node 0 produces the answer")))
 }
 
@@ -279,7 +225,7 @@ fn run_node<R>(
     mut rx_row: Vec<Option<RingRx<NativeMsg>>>,
     done_tx: Sender<usize>,
     setup: &(impl Fn(&Machine) -> ShardApp<R> + Send + Sync),
-) -> NodeExit<R> {
+) -> ReplicaExit<R> {
     gates[node].register();
     // Sender-side batchers, one per destination. Shared with the fabric
     // port's route closure; flushed at the high-water mark (inside
@@ -316,17 +262,10 @@ fn run_node<R>(
         .expect("build_native installs a shard collective context")
         .clone();
 
-    let done = Flag::new();
-    {
-        let env = machine.env(node);
-        let fut = (app.main)(env);
-        let f = done.clone();
-        machine.nodes()[node].spawn(async move {
-            fut.await;
-            f.set();
-        });
-    }
+    let done = machine.spawn_main(node, &app.main);
 
+    // Incoming packets of one drain, applied together (capacity reused).
+    let mut net_batch: Vec<CrossNet> = Vec::new();
     let mut reported = false;
     loop {
         let next = machine.sim().run_wall(EVENT_BATCH);
@@ -376,45 +315,22 @@ fn run_node<R>(
         }
         for rx in rx_row.iter_mut().flatten() {
             while let Some(m) = rx.pop() {
-                integrate(&machine, &ctx, m);
+                match m {
+                    NativeMsg::Net(rec) => net_batch.push(rec),
+                    NativeMsg::Reduce(rec) => ctx.integrate(rec),
+                }
             }
         }
+        machine.network().apply_cross(&mut net_batch);
     }
 
     // Harvest this replica. Trailing idle is folded at the local stop time
     // (the clock is shared, so per-node end times agree to within shutdown
     // skew).
-    let end = machine.sim().now();
-    machine.nodes()[node].finalize_idle(end);
-    let stats = machine.harvest();
-    let mut engine = EngineCounters::default();
+    let mut engine = EngineCounters { wakes: gates[node].wakes(), ..Default::default() };
     for tx in outbound.borrow().iter().flatten() {
         engine.deposits += tx.deposits;
         engine.batches += tx.batches;
     }
-    engine.wakes = gates[node].wakes();
-    NodeExit {
-        node,
-        main_done: done.get(),
-        end_time: end,
-        events: machine.sim().events_executed(),
-        peak_queue_depth: machine.sim().peak_event_queue_depth(),
-        stats: stats.per_node[node].clone(),
-        diag: machine.nodes()[node].diagnostics(),
-        outstanding_calls: machine.rpc().outstanding_calls(NodeId(node)),
-        input_queue_depth: machine.network().input_depth(NodeId(node)),
-        method_names: (node == 0).then(|| machine.rpc().method_names()),
-        answer: (node == 0).then(|| (app.finish)(&machine)),
-        engine,
-    }
-}
-
-/// Apply one incoming record to this node's replica.
-fn integrate(machine: &Machine, ctx: &Rc<crate::collective::ShardCollectives>, msg: NativeMsg) {
-    match msg {
-        NativeMsg::Net(rec) => {
-            machine.network().apply_cross(&mut vec![rec]);
-        }
-        NativeMsg::Reduce(rec) => ctx.integrate(rec),
-    }
+    ReplicaExit::harvest(&machine, &[(node, done)], machine.sim().now(), engine, app.finish)
 }

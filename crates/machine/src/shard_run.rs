@@ -20,8 +20,8 @@
 //!
 //! The shard count fixes the *partition* (and therefore the epoch
 //! schedule); the worker count fixes how many OS threads drive it
-//! (`cfg.effective_workers()`, default one per host core, capped at the
-//! shard count). Each worker owns a contiguous range of shards and steps
+//! ([`RunPlan::workers`]: one per shard, at most one per host core). Each
+//! worker owns a contiguous range of shards and steps
 //! them in lockstep through the split-phase barrier: it arrives for every
 //! owned shard, then completes them — so barriers between co-located
 //! shards are function calls, and an epoch costs one wake per *worker*,
@@ -30,21 +30,26 @@
 //! the epoch engine is host-schedule invariant by construction.
 //!
 //! Cross-shard records take the batched delivery path by default (one
-//! mailbox publish per peer per epoch, `cfg.effective_batch()`); setting
-//! `OAM_BATCH=1` selects the per-message reference path.
+//! mailbox publish per peer per epoch); a [`RunPlan::batch`] of 1
+//! (`OAM_BATCH=1`) selects the per-message reference path.
+//!
+//! Both drivers — these shard workers and the native node threads — end
+//! the same way: each replica hands back a `ReplicaExit` and `merge`
+//! folds them into one [`RunReport`].
 
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::pin::Pin;
 
 use oam_model::{Dur, EngineCounters, MachineConfig, MachineStats, NodeStats, Time};
 use oam_net::CrossNet;
-use oam_sim::{
-    default_spin, partition, shard_range, Coordinator, Fence, FencePolicy, Round, ShardPort,
-};
+use oam_sim::{partition, shard_range, Coordinator, Fence, FencePolicy, Round, ShardPort};
 use oam_threads::Flag;
 
 use crate::collective::ReduceRecord;
 use crate::machine::{Machine, MachineBuilder, NodeEnv, RunReport};
+use crate::plan::{Engine, RunPlan};
+use crate::watchdog::NodeHangInfo;
 
 /// A boundary record crossing shard threads at an epoch barrier.
 #[derive(Clone)]
@@ -55,14 +60,6 @@ pub enum CrossMsg {
     Reduce(ReduceRecord),
 }
 
-/// What a shard runs: the SPMD node main plus a finalizer that extracts
-/// the application's answer from the machine after the run goes quiet.
-///
-/// Produced per shard by the `setup` closure handed to
-/// [`run_partitioned`]; `setup` also performs the side effects that must
-/// happen identically on every shard replica (handler registration,
-/// reducer creation) so event keys and collective ids line up across
-/// shards.
 /// A boxed SPMD node main: invoked once per owned node, returning that
 /// node's boxed main future.
 pub type NodeMain = Box<dyn Fn(NodeEnv) -> Pin<Box<dyn Future<Output = ()>>>>;
@@ -71,8 +68,14 @@ pub type NodeMain = Box<dyn Fn(NodeEnv) -> Pin<Box<dyn Future<Output = ()>>>>;
 /// shard-0 machine.
 pub type FinishFn<R> = Box<dyn FnOnce(&Machine) -> R>;
 
-/// The pieces of an application a shard needs: its node main and the
-/// answer extractor. See the module docs for the setup contract.
+/// What a shard runs: the SPMD node main plus a finalizer that extracts
+/// the application's answer from the machine after the run goes quiet.
+///
+/// Produced per shard by the `setup` closure handed to
+/// [`run_partitioned`]; `setup` also performs the side effects that must
+/// happen identically on every shard replica (handler registration,
+/// reducer creation) so event keys and collective ids line up across
+/// shards.
 pub struct ShardApp<R> {
     /// The node main, boxed so every shard's setup can capture its own
     /// thread-local state.
@@ -83,20 +86,84 @@ pub struct ShardApp<R> {
     pub finish: FinishFn<R>,
 }
 
-/// Per-shard outcome carried back to the coordinating thread.
-struct ShardResult<R> {
+/// What one replica hands back when its driver thread finishes.
+pub(crate) struct ReplicaExit<R> {
     end_time: Time,
     events: u64,
     peak_queue_depth: u64,
-    completed: bool,
-    /// Stats for the nodes this shard owns, paired with their node ids.
-    per_node: Vec<(usize, NodeStats)>,
-    /// Registered RPC method names (shard 0 only; identical everywhere).
-    method_names: Option<std::collections::BTreeMap<u32, String>>,
-    /// Epoch counters; identical on every shard by construction.
+    /// Stats and hang snapshot of every node the replica owns, by node id.
+    nodes: Vec<(usize, NodeStats, NodeHangInfo)>,
+    /// Registered RPC method names (node 0's replica only).
+    method_names: Option<BTreeMap<u32, String>>,
     engine: EngineCounters,
-    /// The application answer (shard 0 only).
+    /// The application answer (node 0's replica only).
     answer: Option<R>,
+}
+
+impl<R> ReplicaExit<R> {
+    /// Harvest a stopped replica whose owned nodes' mains report through
+    /// `done`: fold trailing idle at `end`, snapshot every owned node, and
+    /// take the answer if this replica owns node 0.
+    pub(crate) fn harvest(
+        machine: &Machine,
+        done: &[(usize, Flag)],
+        end: Time,
+        engine: EngineCounters,
+        finish: FinishFn<R>,
+    ) -> Self {
+        for n in machine.nodes() {
+            n.finalize_idle(end);
+        }
+        let stats = machine.harvest();
+        let owns_answer = done.iter().any(|&(i, _)| i == 0);
+        ReplicaExit {
+            end_time: end,
+            events: machine.sim().events_executed(),
+            peak_queue_depth: machine.sim().peak_event_queue_depth(),
+            nodes: done
+                .iter()
+                .map(|(i, f)| (*i, stats.per_node[*i].clone(), machine.hang_info(*i, f.get())))
+                .collect(),
+            method_names: owns_answer.then(|| machine.rpc().method_names()),
+            engine,
+            answer: owns_answer.then(|| finish(machine)),
+        }
+    }
+}
+
+/// Fold every replica's exit into one report: per-node stats and hang
+/// snapshots reassembled by node id, counters summed or maxed, the answer
+/// taken from node 0's replica. Round counters must agree across replicas
+/// (asserted inside [`EngineCounters::absorb`]); delivery counters sum.
+pub(crate) fn merge<R>(
+    exits: Vec<ReplicaExit<R>>,
+    plan: RunPlan,
+) -> (RunReport, Vec<NodeHangInfo>, Option<R>) {
+    let mut nodes: Vec<(usize, NodeStats, NodeHangInfo)> = Vec::new();
+    let (mut end_time, mut events, mut peak) = (Time::ZERO, 0u64, 0u64);
+    let (mut answer, mut method_names, mut engine) = (None, None, None::<EngineCounters>);
+    for e in exits {
+        end_time = end_time.max(e.end_time);
+        events += e.events;
+        peak = peak.max(e.peak_queue_depth);
+        nodes.extend(e.nodes);
+        answer = answer.or(e.answer);
+        method_names = method_names.or(e.method_names);
+        match engine.as_mut() {
+            Some(total) => total.absorb(e.engine),
+            None => engine = Some(e.engine),
+        }
+    }
+    nodes.sort_by_key(|(i, ..)| *i);
+    assert!(nodes.iter().enumerate().all(|(k, (i, ..))| k == *i), "one owner per node");
+    let (per_node, hang): (Vec<NodeStats>, Vec<NodeHangInfo>) =
+        nodes.into_iter().map(|(_, stats, info)| (stats, info)).unzip();
+    let completed = hang.iter().all(|n| n.main_done);
+    let stats = MachineStats::new(per_node)
+        .with_method_names(method_names.unwrap_or_default())
+        .with_engine(engine.unwrap_or_default());
+    let report = RunReport { end_time, stats, completed, events, peak_queue_depth: peak, plan };
+    (report, hang, answer)
 }
 
 /// Conservative lookahead for a configuration: the minimum latency of any
@@ -106,144 +173,95 @@ pub(crate) fn conservative_lookahead(cfg: &MachineConfig) -> Dur {
     cfg.cost.wire_latency.min(cfg.cost.barrier_latency).min(cfg.cost.reduction_latency)
 }
 
-/// Run an application across `cfg.effective_shards()` host threads and
-/// merge the per-shard reports into one [`RunReport`].
+/// Run an application as its resolved [`RunPlan`] says, and merge the
+/// per-replica reports into one [`RunReport`].
 ///
 /// With one shard (the default) this is byte-for-byte the legacy
 /// single-threaded path — same engine, same global event sequence, same
 /// traces. With `S ≥ 2` shards, nodes are partitioned into contiguous
 /// ranges and executed in parallel under conservative epoch
 /// synchronization; answers and per-node statistics are independent of
-/// the shard count.
+/// the shard count. The native backend runs one OS thread per node.
 ///
 /// `setup` runs once per shard against that shard's machine replica and
 /// must be deterministic: register the same handlers and create the same
 /// reducers in the same order on every shard.
 ///
 /// # Panics
-/// Panics if any node main fails to complete (distributed deadlock), like
-/// [`Machine::run`].
+/// Panics with the [`crate::PlanError`] text if a run setting in the
+/// environment is malformed or retired, and if any node main fails to
+/// complete (distributed deadlock), like [`Machine::run`].
 pub fn run_partitioned<R: Send + 'static>(
     cfg: MachineConfig,
     setup: impl Fn(&Machine) -> ShardApp<R> + Send + Sync,
 ) -> (RunReport, R) {
-    // Backend dispatch: the native host-threads runtime replaces the whole
-    // epoch machinery below (one thread per node, no fences, wall-clock
-    // time); the simulator backends continue here.
-    if cfg.effective_backend() == oam_model::Backend::Native {
-        return crate::native_run::run_native(cfg, setup);
+    let plan = RunPlan::resolve(&cfg).unwrap_or_else(|e| panic!("{e}"));
+    match plan.engine {
+        Engine::Native => crate::native_run::run(cfg, plan, setup)
+            .unwrap_or_else(|hang| panic!("native run did not complete:\n{hang}")),
+        Engine::Legacy => {
+            let machine = MachineBuilder::from_config(cfg).build();
+            let app = setup(&machine);
+            let mut report = machine.run(|env| (app.main)(env));
+            report.plan = plan;
+            let answer = (app.finish)(&machine);
+            (report, answer)
+        }
+        Engine::Epoch => run_epoch(cfg, plan, setup),
     }
-    let shards = cfg.effective_shards();
-    // Debug/validation knob: run the epoch engine even at one shard
-    // (single-threaded, keyed events, arrival-time link reservation).
-    // Useful for isolating engine differences from partitioning: the epoch
-    // engine is partition-invariant, so a forced 1-shard run is
-    // bit-identical to any S ≥ 2 run.
-    //
-    // Admission-controlled machines always take the epoch engine: overload
-    // outcomes (which call gets shed) are decided at same-timestamp event
-    // ties, and the legacy engine breaks those by global insertion order
-    // while the keyed engine does not. Pinning the keyed order makes shed
-    // decisions independent of the shard count. Fault plans still need the
-    // legacy engine (the epoch pump asserts a lossless fabric), and
-    // `effective_shards` already forces them to one shard.
-    let force_epoch =
-        cfg.effective_force_epoch() || (cfg.admission.is_some() && cfg.fault_plan.is_none());
-    if shards == 1 && !force_epoch {
-        let machine = MachineBuilder::from_config(cfg).build();
-        let app = setup(&machine);
-        let report = machine.run(|env| (app.main)(env));
-        let answer = (app.finish)(&machine);
-        return (report, answer);
-    }
+}
 
-    let nodes = cfg.nodes;
+/// The epoch engine: `plan.shards` replicas on `plan.workers` threads.
+///
+/// It also runs at one shard when the plan says so (`force_epoch`, or
+/// admission control): overload outcomes — which call gets shed — are
+/// decided at same-timestamp event ties, which the legacy engine breaks by
+/// global insertion order and the keyed engine does not, so pinning the
+/// keyed order makes shed decisions independent of the shard count.
+fn run_epoch<R: Send + 'static>(
+    cfg: MachineConfig,
+    plan: RunPlan,
+    setup: impl Fn(&Machine) -> ShardApp<R> + Send + Sync,
+) -> (RunReport, R) {
     let lookahead = conservative_lookahead(&cfg);
-    let owners = partition(nodes, shards);
-    // Host-scheduling knobs (never outcome-affecting; see ShardTuning).
-    let workers = cfg.effective_workers(shards);
-    let policy =
-        if cfg.effective_naive_fence() { FencePolicy::Naive } else { FencePolicy::Adaptive };
-    let spin = cfg.effective_spin().unwrap_or_else(|| default_spin(workers));
-    let pin = cfg.effective_pin();
-    let batched = cfg.effective_batch() > 1;
-    let coord = Coordinator::<CrossMsg>::new(shards, lookahead)
+    let owners = partition(cfg.nodes, plan.shards);
+    let policy = if plan.naive_fence { FencePolicy::Naive } else { FencePolicy::Adaptive };
+    let coord = Coordinator::<CrossMsg>::new(plan.shards, lookahead)
         .with_policy(policy)
-        .with_spin(spin)
-        .with_batched(batched);
+        .with_spin(plan.spin)
+        .with_batched(plan.batch > 1);
 
-    let results: Vec<ShardResult<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+    let exits: Vec<ReplicaExit<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..plan.workers)
             .map(|worker| {
                 let cfg = cfg.clone();
-                let coord = &coord;
-                let owners = &owners;
-                let setup = &setup;
-                scope.spawn(move || {
-                    run_worker(cfg, coord, owners, worker, workers, lookahead, pin, setup)
-                })
+                let (coord, owners, plan, setup) = (&coord, &owners, &plan, &setup);
+                scope.spawn(move || run_worker(cfg, coord, owners, plan, worker, lookahead, setup))
             })
             .collect();
         handles.into_iter().flat_map(|h| h.join().expect("shard worker panicked")).collect()
     });
 
-    // Merge: per-node stats reassembled by node id, counters summed or
-    // maxed, the answer taken from shard 0.
-    let mut per_node: Vec<Option<NodeStats>> = vec![None; nodes];
-    let mut end_time = Time::ZERO;
-    let mut events = 0u64;
-    let mut peak = 0u64;
-    let mut completed = true;
-    let mut answer = None;
-    let mut method_names = None;
-    let mut engine: Option<EngineCounters> = None;
-    for r in results {
-        end_time = end_time.max(r.end_time);
-        events += r.events;
-        peak = peak.max(r.peak_queue_depth);
-        completed &= r.completed;
-        for (i, s) in r.per_node {
-            per_node[i] = Some(s);
-        }
-        if let Some(a) = r.answer {
-            answer = Some(a);
-        }
-        if let Some(m) = r.method_names {
-            method_names = Some(m);
-        }
-        // Round counters must agree across shards (asserted inside
-        // absorb); delivery counters sum.
-        match engine.as_mut() {
-            Some(e) => e.absorb(r.engine),
-            None => engine = Some(r.engine),
-        }
-    }
-    let mut engine = engine.unwrap_or_default();
-    engine.wakes += coord.wakes();
-    let stats = MachineStats::new(
-        per_node.into_iter().map(|s| s.expect("every node owned by some shard")).collect(),
-    )
-    .with_method_names(method_names.unwrap_or_default())
-    .with_engine(engine);
+    let (mut report, _, answer) = merge(exits, plan);
+    report.stats.engine.wakes += coord.wakes();
     assert!(
-        completed,
-        "partitioned run did not complete: some node main is deadlocked (end time {end_time})"
+        report.completed,
+        "partitioned run did not complete: some node main is deadlocked (end time {})",
+        report.end_time
     );
-    let report = RunReport { end_time, stats, completed, events, peak_queue_depth: peak };
     (report, answer.expect("shard 0 produces the answer"))
 }
 
 /// One shard replica as driven by a worker thread: its machine, its port,
 /// and its progress through the epoch protocol.
 struct Lane<'c, R> {
-    shard: usize,
     machine: Machine,
     ctx: std::rc::Rc<crate::collective::ShardCollectives>,
     port: ShardPort<'c, CrossMsg>,
     /// Completion flags for the mains of this shard's owned nodes.
     done: Vec<(usize, Flag)>,
-    /// The answer extractor (shard 0 only; consumed at the end).
-    finish: Option<FinishFn<R>>,
+    /// The answer extractor (invoked on shard 0 only).
+    finish: FinishFn<R>,
     fence: Fence,
 }
 
@@ -251,26 +269,19 @@ struct Lane<'c, R> {
 /// owns, spawn their mains, then step all of them in lockstep through the
 /// epoch protocol — arrive for every owned shard, then complete them, so
 /// barriers between co-located shards never block (see the module docs).
-#[allow(clippy::too_many_arguments)]
 fn run_worker<R>(
     cfg: MachineConfig,
     coord: &Coordinator<CrossMsg>,
     owners: &[usize],
+    plan: &RunPlan,
     worker: usize,
-    workers: usize,
     lookahead: Dur,
-    pin: bool,
     setup: &(impl Fn(&Machine) -> ShardApp<R> + Send + Sync),
-) -> Vec<ShardResult<R>> {
-    if pin {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        pin_current_thread(worker % cores);
-    }
-    let nodes = cfg.nodes;
-    let shards = coord_shards(owners);
+) -> Vec<ReplicaExit<R>> {
+    let (nodes, shards) = (cfg.nodes, plan.shards);
     // Contiguous, balanced assignment of shards to workers — the same
     // partition rule nodes use for shards.
-    let my_shards = shard_range(shards, workers, worker);
+    let my_shards = shard_range(shards, plan.workers, worker);
 
     let mut lanes: Vec<Lane<'_, R>> = my_shards
         .map(|shard| {
@@ -283,25 +294,14 @@ fn run_worker<R>(
                 .expect("build_shard installs a shard collective context")
                 .clone();
             let done: Vec<(usize, Flag)> = shard_range(nodes, shards, shard)
-                .map(|i| {
-                    let flag = Flag::new();
-                    let env = machine.env(i);
-                    let fut = (app.main)(env);
-                    let f = flag.clone();
-                    machine.nodes()[i].spawn(async move {
-                        fut.await;
-                        f.set();
-                    });
-                    (i, flag)
-                })
+                .map(|i| (i, machine.spawn_main(i, &app.main)))
                 .collect();
             Lane {
-                shard,
                 machine,
                 ctx,
                 port: coord.port(shard),
                 done,
-                finish: Some(app.finish),
+                finish: app.finish,
                 fence: Fence::Before(Time::ZERO),
             }
         })
@@ -407,55 +407,8 @@ fn run_worker<R>(
         .into_iter()
         .map(|mut lane| {
             let end = lane.port.complete_finish();
-            for n in lane.machine.nodes() {
-                n.finalize_idle(end);
-            }
-            let stats = lane.machine.harvest();
-            ShardResult {
-                end_time: lane.machine.sim().now(),
-                events: lane.machine.sim().events_executed(),
-                peak_queue_depth: lane.machine.sim().peak_event_queue_depth(),
-                completed: lane.done.iter().all(|(_, f)| f.get()),
-                per_node: lane.done.iter().map(|(i, _)| (*i, stats.per_node[*i].clone())).collect(),
-                method_names: (lane.shard == 0).then(|| lane.machine.rpc().method_names()),
-                engine: lane.port.counters(),
-                answer: (lane.shard == 0)
-                    .then(|| (lane.finish.take().expect("finish consumed once"))(&lane.machine)),
-            }
+            let engine = lane.port.counters();
+            ReplicaExit::harvest(&lane.machine, &lane.done, end, engine, lane.finish)
         })
         .collect()
 }
-
-/// Number of shards implied by an owner table (max owner + 1).
-fn coord_shards(owners: &[usize]) -> usize {
-    owners.iter().copied().max().map_or(1, |m| m + 1)
-}
-
-/// Pin the calling thread to host CPU `cpu` (best effort: failures are
-/// ignored — pinning is a throughput hint, never a correctness
-/// requirement). Raw `sched_setaffinity` syscall because the workspace
-/// deliberately has no libc dependency.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn pin_current_thread(cpu: usize) {
-    // 1024-CPU mask, the kernel's traditional cpu_set_t size.
-    let mut mask = [0u64; 16];
-    mask[(cpu / 64) % mask.len()] |= 1u64 << (cpu % 64);
-    unsafe {
-        let mut ret: i64 = 203; // __NR_sched_setaffinity
-        std::arch::asm!(
-            "syscall",
-            inout("rax") ret,
-            in("rdi") 0usize, // pid 0 = calling thread
-            in("rsi") std::mem::size_of_val(&mask),
-            in("rdx") mask.as_ptr(),
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        let _ = ret;
-    }
-}
-
-/// No-op fallback where the raw syscall isn't available.
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn pin_current_thread(_cpu: usize) {}

@@ -14,7 +14,8 @@
 //!   timers keep firing) but has not finished; either the budget is too
 //!   small or the workload is livelocked.
 //!
-//! [`crate::Machine::run_with_watchdog`] runs a program under a budget and
+//! [`crate::Machine::run_with_watchdog`] runs a program under a budget
+//! (`OAM_WATCHDOG_MS` overrides it, see [`crate::plan`]) and
 //! returns a structured [`HangReport`] instead of panicking or hanging, with
 //! per-node scheduler snapshots, outstanding-call counts, and the number of
 //! packets still sitting in the fabric — enough to tell "waiting on a lost
@@ -24,6 +25,8 @@ use core::fmt;
 
 use oam_model::Time;
 use oam_threads::NodeDiag;
+
+use crate::plan::RunPlan;
 
 /// Why the watchdog stopped the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,22 +77,9 @@ pub struct HangReport {
     pub in_flight_packets: usize,
     /// Simulation events executed before the stop.
     pub events: u64,
-}
-
-/// The watchdog's virtual-time budget: `default`, unless the
-/// `OAM_WATCHDOG_MS` environment variable names a budget in virtual
-/// milliseconds — letting CI tighten (catch livelock early) or loosen
-/// (debug a slow config) every watchdogged run without code changes. An
-/// unparsable value falls back to `default`.
-pub fn budget_from_env(default: Time) -> Time {
-    match std::env::var("OAM_WATCHDOG_MS") {
-        Ok(v) => v
-            .trim()
-            .parse::<u64>()
-            .ok()
-            .map_or(default, |ms| Time::from_nanos(ms.saturating_mul(1_000_000))),
-        Err(_) => default,
-    }
+    /// What the run executed with, watchdog budget included (boxed: the
+    /// report is the error side of every watchdogged run's `Result`).
+    pub plan: Box<RunPlan>,
 }
 
 impl HangReport {
@@ -111,6 +101,7 @@ impl fmt::Display for HangReport {
             "machine hang: {} at {} ({} events, {} packets in flight)",
             self.kind, self.at, self.events, self.in_flight_packets
         )?;
+        writeln!(f, "  plan: {}", self.plan)?;
         for n in &self.nodes {
             let d = &n.diag;
             writeln!(
@@ -149,18 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_env_override_parses_and_falls_back() {
-        // Serialized within this test: set, read, and restore the variable
-        // so no other watchdogged test in this binary observes it.
-        std::env::set_var("OAM_WATCHDOG_MS", "25");
-        assert_eq!(budget_from_env(Time::from_nanos(1)), Time::from_nanos(25_000_000));
-        std::env::set_var("OAM_WATCHDOG_MS", "not-a-number");
-        assert_eq!(budget_from_env(Time::from_nanos(7)), Time::from_nanos(7));
-        std::env::remove_var("OAM_WATCHDOG_MS");
-        assert_eq!(budget_from_env(Time::from_nanos(9)), Time::from_nanos(9));
-    }
-
-    #[test]
     fn report_accessors_and_display() {
         let r = HangReport {
             kind: HangKind::Deadlock,
@@ -181,6 +160,7 @@ mod tests {
             ],
             in_flight_packets: 0,
             events: 42,
+            plan: Box::new(RunPlan::direct(&oam_model::MachineConfig::cm5(2))),
         };
         assert_eq!(r.stuck_nodes().count(), 1);
         assert_eq!(r.total_outstanding_calls(), 1);
@@ -188,5 +168,6 @@ mod tests {
         assert!(text.contains("deadlock"));
         assert!(text.contains("node 0: main STUCK"));
         assert!(text.contains("node 1: main done"));
+        assert!(text.contains("plan: Legacy engine, 1 shard(s)"), "{text}");
     }
 }

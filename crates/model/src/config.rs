@@ -335,54 +335,36 @@ pub struct MachineConfig {
     /// the pre-policy runtime exactly.
     pub policies: BTreeMap<u32, ExecPolicy>,
     /// Host-parallelism shard count: partition the simulated nodes into
-    /// this many shards, one host worker thread each, synchronized by
-    /// conservative epochs. `None` (the default) defers to the
-    /// `OAM_SHARDS` environment variable, falling back to 1
-    /// (single-threaded). Results are identical for any shard count; see
-    /// `MachineConfig::effective_shards` for the resolution rules.
+    /// this many shards, synchronized by conservative epochs. `None` (the
+    /// default) defers to `OAM_SHARDS`, else 1. Results are identical for
+    /// any shard count; `oam_machine::RunPlan` holds the resolution rules.
     pub shards: Option<usize>,
     /// Execution backend: the discrete-event simulator (virtual time,
     /// bit-deterministic) or the native host-threads runtime (one OS
-    /// thread per node, real channels, wall-clock time —
-    /// answer-deterministic only). `None` (the default) defers to the
-    /// `OAM_BACKEND` environment variable, falling back to the simulator;
-    /// see `MachineConfig::effective_backend` for the resolution rules.
+    /// thread per node, wall-clock time, answer-deterministic only).
+    /// `None` (the default) defers to `OAM_BACKEND`, else the simulator.
     pub backend: Option<Backend>,
-    /// Host-engine tuning for the sharded epoch executor (fence policy,
-    /// barrier spin budget, thread pinning). These knobs change host-side
-    /// scheduling only — simulation outcomes are bit-identical for every
-    /// setting. Every field defaults to "resolve from the environment".
+    /// Host-engine tuning for the epoch executor and the delivery layer.
+    /// Simulation outcomes are bit-identical for every setting.
     pub tuning: ShardTuning,
 }
 
-/// Tuning knobs for the sharded epoch engine's host-side scheduling.
+/// Host-side tuning of the epoch engine and the delivery layer.
 ///
 /// None of these affect simulation outcomes: answers, per-node stats, and
 /// golden traces are bit-identical for every combination (the differential
-/// tests assert this). They only trade host cycles: how shard workers wait
-/// at the epoch barrier, whether they pin to cores, and whether the
-/// adaptive fence policy may widen epochs past one lookahead.
+/// tests assert this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ShardTuning {
     /// Force the naive reference fence policy — classic
     /// `global min + lookahead` every epoch, with an unconditional
     /// exchange round — instead of the adaptive policy (quiet-round
-    /// barrier fusion + min-holder fence widening). `None` defers to
-    /// `OAM_FENCE=naive`. The differential tests run both policies
-    /// against each other.
+    /// barrier fusion + min-holder fence widening). `None` means adaptive.
+    /// The differential tests run both policies against each other.
     pub naive_fence: Option<bool>,
-    /// Barrier spin budget: iterations a shard worker spins at the epoch
-    /// barrier before parking its thread. `None` defers to `OAM_SPIN`,
-    /// else an automatic default: spin only when the host has at least
-    /// one core per shard (spinning on an oversubscribed host burns the
-    /// quantum the peer shard needs).
-    pub spin: Option<u32>,
-    /// Pin shard workers to host cores (`shard % cores`; Linux only, best
-    /// effort). `None` defers to `OAM_PIN` (`1`/`true`).
-    pub pin: Option<bool>,
     /// Run the epoch engine even at one shard (normally a single-shard,
-    /// fault-free run takes the legacy in-process engine). `None` defers
-    /// to `OAM_SHARD_FORCE_EPOCH`.
+    /// fault-free run takes the legacy in-process engine). `None` means
+    /// off.
     pub force_epoch: Option<bool>,
     /// Delivery batch size for the cross-worker fabric layer. `1` selects
     /// the naive per-message path (one mailbox write per record in the
@@ -392,14 +374,6 @@ pub struct ShardTuning {
     /// handler-run pass). `None` defers to `OAM_BATCH`, else
     /// [`MachineConfig::DEFAULT_BATCH`]. Never outcome-affecting.
     pub batch: Option<u32>,
-    /// Host worker threads driving the epoch engine's shards. Each worker
-    /// multiplexes a contiguous range of shard replicas, so barriers
-    /// between co-located shards cost function calls instead of
-    /// park/unpark round trips — one wake per epoch per *worker*, not per
-    /// shard. `None` defers to `OAM_WORKERS`, else `min(shards, host
-    /// cores)`. Never outcome-affecting (the epoch engine is
-    /// host-schedule invariant).
-    pub workers: Option<usize>,
 }
 
 /// Which runtime executes a partitioned run (`run_partitioned`).
@@ -428,7 +402,7 @@ impl Backend {
 
 impl MachineConfig {
     /// Default delivery batch size when neither [`ShardTuning::batch`] nor
-    /// `OAM_BATCH` is set (see [`MachineConfig::effective_batch`]).
+    /// `OAM_BATCH` is set.
     pub const DEFAULT_BATCH: u32 = 32;
 
     /// CM-5-like defaults: deep network buffering, front-of-queue placement,
@@ -532,109 +506,11 @@ impl MachineConfig {
         self
     }
 
-    /// Builder-style epoch-engine tuning override (fence policy, barrier
-    /// spin budget, pinning). Explicit fields win over their environment
-    /// variables; see [`ShardTuning`].
+    /// Builder-style host-engine tuning override (fence policy, forced
+    /// epoch engine, delivery batch); see [`ShardTuning`].
     pub fn with_tuning(mut self, tuning: ShardTuning) -> Self {
         self.tuning = tuning;
         self
-    }
-
-    /// Resolve the effective fence policy: `true` selects the naive
-    /// reference policy. Explicit [`ShardTuning::naive_fence`] wins, then
-    /// `OAM_FENCE=naive`, else the adaptive policy.
-    pub fn effective_naive_fence(&self) -> bool {
-        self.tuning
-            .naive_fence
-            .unwrap_or_else(|| matches!(std::env::var("OAM_FENCE").as_deref(), Ok("naive")))
-    }
-
-    /// Resolve the explicit barrier spin budget, if any: explicit
-    /// [`ShardTuning::spin`] wins, then `OAM_SPIN`. `None` means "let the
-    /// engine pick" (spin only when the host has a core per shard).
-    pub fn effective_spin(&self) -> Option<u32> {
-        self.tuning.spin.or_else(|| std::env::var("OAM_SPIN").ok().and_then(|v| v.parse().ok()))
-    }
-
-    /// Resolve whether shard workers pin to host cores: explicit
-    /// [`ShardTuning::pin`] wins, then `OAM_PIN` (`1`/`true`), else off.
-    pub fn effective_pin(&self) -> bool {
-        self.tuning
-            .pin
-            .unwrap_or_else(|| matches!(std::env::var("OAM_PIN").as_deref(), Ok("1") | Ok("true")))
-    }
-
-    /// Resolve the effective delivery batch size: explicit
-    /// [`ShardTuning::batch`] wins, then `OAM_BATCH`, else
-    /// [`MachineConfig::DEFAULT_BATCH`]; clamped to at least 1. `1` is the
-    /// naive per-message delivery path.
-    pub fn effective_batch(&self) -> u32 {
-        self.tuning
-            .batch
-            .or_else(|| std::env::var("OAM_BATCH").ok().and_then(|v| v.parse().ok()))
-            .unwrap_or(Self::DEFAULT_BATCH)
-            .max(1)
-    }
-
-    /// Resolve the effective epoch worker-thread count for `shards`
-    /// shards: explicit [`ShardTuning::workers`] wins, then
-    /// `OAM_WORKERS`, else one worker per host core; clamped to
-    /// `[1, shards]`. On hosts with a core per shard this is one shard
-    /// per worker (maximum parallelism); on oversubscribed hosts shards
-    /// share workers and their barriers collapse into function calls.
-    pub fn effective_workers(&self, shards: usize) -> usize {
-        let requested = self
-            .tuning
-            .workers
-            .or_else(|| std::env::var("OAM_WORKERS").ok().and_then(|v| v.parse().ok()));
-        let requested = requested
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        requested.clamp(1, shards.max(1))
-    }
-
-    /// Resolve whether a single-shard run still uses the epoch engine:
-    /// explicit [`ShardTuning::force_epoch`] wins, then the presence of
-    /// `OAM_SHARD_FORCE_EPOCH`, else off. (Admission-controlled fault-free
-    /// runs force the epoch engine regardless; see `run_partitioned`.)
-    pub fn effective_force_epoch(&self) -> bool {
-        self.tuning.force_epoch.unwrap_or_else(|| std::env::var("OAM_SHARD_FORCE_EPOCH").is_ok())
-    }
-
-    /// Resolve the effective backend for this configuration:
-    ///
-    /// 1. explicit [`MachineConfig::backend`] if set, else the
-    ///    `OAM_BACKEND` environment variable (`"native"` selects the
-    ///    host-threads runtime; anything else means the simulator);
-    /// 2. forced to [`Backend::Sim`] when a [`FaultPlan`] is present — the
-    ///    native runtime, like the epoch engine, assumes a lossless fabric
-    ///    (fault draws come from the single global RNG stream in pump
-    ///    order, which only the single-threaded simulator reproduces).
-    pub fn effective_backend(&self) -> Backend {
-        if self.fault_plan.is_some() {
-            return Backend::Sim;
-        }
-        self.backend.unwrap_or_else(|| match std::env::var("OAM_BACKEND").as_deref() {
-            Ok("native") => Backend::Native,
-            _ => Backend::Sim,
-        })
-    }
-
-    /// Resolve the effective shard count for this configuration:
-    ///
-    /// 1. explicit [`MachineConfig::shards`] if set, else the `OAM_SHARDS`
-    ///    environment variable, else 1;
-    /// 2. clamped to `[1, nodes]`;
-    /// 3. forced to 1 when a [`FaultPlan`] is present — fault draws come
-    ///    from the single global RNG stream in fabric pump order, which
-    ///    only the single-threaded engine reproduces.
-    pub fn effective_shards(&self) -> usize {
-        let requested = self.shards.unwrap_or_else(|| {
-            std::env::var("OAM_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
-        });
-        if self.fault_plan.is_some() {
-            return 1;
-        }
-        requested.clamp(1, self.nodes.max(1))
     }
 
     /// Validate internal consistency (positive capacities, at least one node).
@@ -668,9 +544,6 @@ impl MachineConfig {
         }
         if self.tuning.batch == Some(0) {
             return Err("delivery batch size must be at least 1".into());
-        }
-        if self.tuning.workers == Some(0) {
-            return Err("epoch worker count must be at least 1".into());
         }
         Ok(())
     }
@@ -772,22 +645,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_worker_tuning_resolution() {
-        let cfg = MachineConfig::cm5(8);
-        assert_eq!(cfg.effective_batch(), MachineConfig::DEFAULT_BATCH);
-        let naive =
-            MachineConfig::cm5(8).with_tuning(ShardTuning { batch: Some(1), ..Default::default() });
-        assert_eq!(naive.effective_batch(), 1);
-        // Workers never exceed the shard count and never drop below one.
-        let pinned = MachineConfig::cm5(8)
-            .with_tuning(ShardTuning { workers: Some(64), ..Default::default() });
-        assert_eq!(pinned.effective_workers(4), 4);
-        assert_eq!(pinned.effective_workers(1), 1);
+    fn zero_shards_or_batch_is_invalid() {
+        let bad = MachineConfig::cm5(8).with_shards(0);
+        assert!(bad.validate().is_err());
         let bad =
             MachineConfig::cm5(8).with_tuning(ShardTuning { batch: Some(0), ..Default::default() });
-        assert!(bad.validate().is_err());
-        let bad = MachineConfig::cm5(8)
-            .with_tuning(ShardTuning { workers: Some(0), ..Default::default() });
         assert!(bad.validate().is_err());
     }
 

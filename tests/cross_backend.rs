@@ -154,7 +154,7 @@ fn batched_and_naive_delivery_agree_on_native() {
 }
 
 /// Env-following smoke for the CI backend matrix: run one app through
-/// `cfg.effective_backend()` resolution (explicit pin absent), honoring
+/// the run plan's backend resolution (explicit pin absent), honoring
 /// whatever `OAM_BACKEND` the matrix leg exported.
 #[test]
 fn apps_honor_the_backend_environment() {

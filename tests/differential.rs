@@ -10,7 +10,7 @@ use optimistic_active_messages::apps::water::{WaterParams, WaterVariant};
 use optimistic_active_messages::apps::{sor, triangle, tsp, water, System};
 use optimistic_active_messages::prelude::*;
 
-/// Shard counts exercised by the fence-policy differential: `effective_shards`
+/// Shard counts exercised by the fence-policy differential: the run plan
 /// clamps to the node count, so these tests run 8-node machines to make the
 /// 8-shard leg meaningful.
 const FENCE_SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];

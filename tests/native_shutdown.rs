@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use optimistic_active_messages::apps::sor::{self, SorParams};
 use optimistic_active_messages::apps::System;
-use optimistic_active_messages::machine::{try_run_native, HangKind, ShardApp};
+use optimistic_active_messages::machine::{try_run_native, Engine, HangKind, ShardApp};
 use optimistic_active_messages::prelude::*;
 
 /// Clean completion: the run returns (all threads joined — `try_run_native`
@@ -63,8 +63,13 @@ fn hung_main_is_diagnosed_and_joined_within_budget() {
         "the hung thread is still alive in node 1's scheduler: {:?}",
         hang.nodes[1].diag
     );
+    // The report states what ran: the native engine under this budget.
+    assert_eq!(hang.plan.engine, Engine::Native);
+    assert_eq!((hang.plan.shards, hang.plan.workers), (2, 2));
+    assert_eq!(hang.plan.watchdog, Some(budget));
     let shown = hang.to_string();
     assert!(shown.contains("budget-exceeded"), "display names the kind: {shown}");
+    assert!(shown.contains("plan: Native engine"), "display names the plan: {shown}");
 }
 
 /// A successful run through the explicit-budget API: barriers and a

@@ -10,8 +10,12 @@ use std::rc::Rc;
 
 use optimistic_active_messages::apps::service::{self, ServiceParams};
 use optimistic_active_messages::apps::triangle::Board;
-use optimistic_active_messages::machine::MachineBuilder;
-use optimistic_active_messages::model::{Dur, MachineConfig, NodeId, NodeStats, Time};
+use optimistic_active_messages::machine::{
+    run_partitioned, Coercion, Engine, MachineBuilder, NodeEnv, RunPlan, ShardApp,
+};
+use optimistic_active_messages::model::{
+    AdmissionConfig, Backend, Dur, FaultPlan, MachineConfig, NodeId, NodeStats, Time,
+};
 use optimistic_active_messages::net::{BufPool, NetConfig, Network, Packet, PayloadBuf};
 use optimistic_active_messages::rpc::{define_rpc_service, from_bytes, to_bytes, to_payload};
 use optimistic_active_messages::sim::{Prng, Sim};
@@ -545,4 +549,65 @@ fn admission_budget_holds_and_every_shed_call_nacks_exactly_once() {
             "case {case}: shard count must not change the story"
         );
     });
+}
+
+// ---------------------------------------------------------------------
+// Run plans: what a report says actually ran
+// ---------------------------------------------------------------------
+
+/// Run a trivial SPMD program through `run_partitioned` and return its plan.
+fn plan_of(cfg: MachineConfig) -> RunPlan {
+    let (report, ()) = run_partitioned(cfg, |_machine| ShardApp {
+        main: Box::new(|env: NodeEnv| Box::pin(async move { env.charge_micros(1).await })),
+        finish: Box::new(|_| ()),
+    });
+    assert!(report.completed);
+    report.plan
+}
+
+/// The coercion `plan` records for `knob`.
+fn coercion<'p>(plan: &'p RunPlan, knob: &str) -> &'p Coercion {
+    plan.coercions.iter().find(|c| c.knob == knob).unwrap_or_else(|| panic!("no {knob}: {plan}"))
+}
+
+#[test]
+fn every_coerced_setting_is_recorded_in_the_report_plan() {
+    // A fault plan pins the single-threaded simulator, whatever was asked.
+    let plan = plan_of(
+        MachineConfig::cm5(8)
+            .with_fault_plan(FaultPlan::drop_only(0.0))
+            .with_shards(4)
+            .with_backend(Backend::Native),
+    );
+    assert_eq!((plan.engine, plan.shards), (Engine::Legacy, 1), "the simulator, one shard");
+    let backend = coercion(&plan, "backend");
+    assert_eq!((backend.requested.as_str(), backend.effective.as_str()), ("native", "sim"));
+    assert!(backend.reason.contains("fault"), "{}", backend.reason);
+    let shards = coercion(&plan, "shards");
+    assert_eq!((shards.requested.as_str(), shards.effective.as_str()), ("4", "1"));
+    assert!(shards.reason.contains("fault"), "{}", shards.reason);
+
+    // Admission control takes the epoch engine even at one shard.
+    let plan = plan_of(
+        MachineConfig::cm5(4)
+            .with_admission(AdmissionConfig::default())
+            .with_shards(1)
+            .with_backend(Backend::Sim),
+    );
+    assert_eq!((plan.engine, plan.shards), (Engine::Epoch, 1));
+    let engine = coercion(&plan, "engine");
+    assert_eq!((engine.requested.as_str(), engine.effective.as_str()), ("legacy", "epoch"));
+    assert!(engine.reason.contains("shed"), "{}", engine.reason);
+
+    // More shards than nodes clamp to one node per shard.
+    let plan = plan_of(MachineConfig::cm5(16).with_shards(100).with_backend(Backend::Sim));
+    assert_eq!((plan.engine, plan.shards), (Engine::Epoch, 16));
+    let shards = coercion(&plan, "shards");
+    assert_eq!((shards.requested.as_str(), shards.effective.as_str()), ("100", "16"));
+    assert!(shards.reason.contains("node"), "{}", shards.reason);
+
+    // Nothing to coerce: a fault-free, admission-free run as configured.
+    let plan = plan_of(MachineConfig::cm5(4).with_shards(1).with_backend(Backend::Sim));
+    assert_eq!((plan.engine, plan.shards, plan.workers), (Engine::Legacy, 1, 1));
+    assert!(plan.coercions.is_empty(), "{plan}");
 }
