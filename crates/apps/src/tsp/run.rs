@@ -134,32 +134,32 @@ pub fn run(system: System, slaves: usize, p: TspParams) -> AppOutcome {
 /// As [`run`], with a caller-supplied machine configuration (the machine
 /// has `cfg.nodes` nodes: one master plus `cfg.nodes - 1` slaves).
 pub fn run_configured(system: System, cfg: oam_model::MachineConfig, p: TspParams) -> AppOutcome {
-    assert!(cfg.nodes >= 2);
-    let (report, answer) = run_partitioned(cfg, move |machine| app(system, p, machine, false));
-    AppOutcome {
-        elapsed: report.end_time.since(oam_model::Time::ZERO),
-        answer,
-        stats: report.stats,
-        events: report.events,
-        peak_queue_depth: report.peak_queue_depth,
-    }
+    run_app(system, cfg, p, false)
 }
 
-/// As [`run`], but the slaves *pipeline* their job fetches: each slave
-/// keeps one `get_job` outstanding while it expands the previous route,
-/// so the request's round trip (and any blocking in the master's queue)
-/// overlaps useful search work instead of serializing with it. Uses the
-/// generated `issue`/`wait` stubs; the wire protocol is unchanged — only
-/// the call *schedule* differs, which is the point of the comparison
+/// As [`run_configured`], but the slaves *pipeline* their job fetches: each
+/// slave keeps one `get_job` outstanding while it expands the previous
+/// route, so the request's round trip (and any blocking in the master's
+/// queue) overlaps useful search work instead of serializing with it. Uses
+/// the generated `issue`/`wait` stubs; the wire protocol is unchanged —
+/// only the call *schedule* differs, which is the point of the comparison
 /// against [`run`]'s strict call-reply-compute cycle.
-pub fn run_pipelined(system: System, slaves: usize, p: TspParams) -> AppOutcome {
-    assert!(slaves >= 1);
+pub fn run_pipelined(system: System, cfg: oam_model::MachineConfig, p: TspParams) -> AppOutcome {
     assert!(
         system != System::HandAm,
         "the hand-coded AM variant manages its own continuation; pipelining applies to the stubs"
     );
-    let cfg = oam_model::MachineConfig::cm5(slaves + 1);
-    let (report, answer) = run_partitioned(cfg, move |machine| app(system, p, machine, true));
+    run_app(system, cfg, p, true)
+}
+
+fn run_app(
+    system: System,
+    cfg: oam_model::MachineConfig,
+    p: TspParams,
+    pipelined: bool,
+) -> AppOutcome {
+    assert!(cfg.nodes >= 2);
+    let (report, answer) = run_partitioned(cfg, move |machine| app(system, p, machine, pipelined));
     AppOutcome {
         elapsed: report.end_time.since(oam_model::Time::ZERO),
         answer,
@@ -421,7 +421,7 @@ mod tests {
     fn pipelined_fetches_beat_the_synchronous_slave_loop() {
         let (best, _, _) = sequential(small());
         let sync = run(System::Orpc, 3, small());
-        let piped = run_pipelined(System::Orpc, 3, small());
+        let piped = run_pipelined(System::Orpc, oam_model::MachineConfig::cm5(4), small());
         assert_eq!(sync.answer, best as u64);
         assert_eq!(piped.answer, best as u64, "pipelining must not change the search result");
         assert!(
@@ -432,7 +432,7 @@ mod tests {
         );
         // Same schedule, same virtual clock: pipelined runs stay
         // deterministic.
-        let again = run_pipelined(System::Orpc, 3, small());
+        let again = run_pipelined(System::Orpc, oam_model::MachineConfig::cm5(4), small());
         assert_eq!(again.answer, piped.answer);
         assert_eq!(again.elapsed, piped.elapsed);
     }

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 /// running with an arbitrary CWD still agree on one location; falls back to
 /// the uncanonicalized path if the filesystem refuses (the join itself
 /// cannot fail).
-pub fn workspace_root() -> PathBuf {
+fn workspace_root() -> PathBuf {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
     root.canonicalize().unwrap_or(root)
 }

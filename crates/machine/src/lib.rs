@@ -18,7 +18,7 @@ pub mod watchdog;
 
 pub use collective::{Collectives, Reducer};
 pub use machine::{Machine, MachineBuilder, NodeEnv, RunReport};
-pub use native_run::{try_run_native, NativeMsg};
+pub use native_run::try_run_native;
 pub use openloop::{arrivals_for, pace_until, Arrival, CallClass, OpenLoopConfig, OpenLoopTracker};
 pub use plan::{Coercion, Engine, PlanError, RunPlan};
 pub use shard_run::{run_partitioned, CrossMsg, ShardApp};

@@ -44,19 +44,10 @@ use oam_model::{Backend, EngineCounters, MachineConfig, Time};
 use oam_net::{spsc, BatchTx, CrossNet, RingRx, RingTx, WakeGate};
 use oam_sim::WallClock;
 
-use crate::collective::ReduceRecord;
 use crate::machine::{Machine, MachineBuilder, RunReport};
 use crate::plan::{Engine, RunPlan};
-use crate::shard_run::{conservative_lookahead, merge, ReplicaExit, ShardApp};
+use crate::shard_run::{conservative_lookahead, merge, CrossMsg, ReplicaExit, ShardApp};
 use crate::watchdog::{HangKind, HangReport};
-
-/// A record crossing node threads on the native backend.
-pub enum NativeMsg {
-    /// A network packet or bulk transfer bound for this node.
-    Net(CrossNet),
-    /// A collective contribution from another node's replica.
-    Reduce(ReduceRecord),
-}
 
 /// Default real-time watchdog budget for a native run. Generous because
 /// wall time covers real modeled compute charges; `OAM_WATCHDOG_MS`
@@ -130,14 +121,14 @@ pub(crate) fn run<R: Send + 'static>(
     // `rx_mat[dst][src]`; the diagonal stays empty (a node never routes
     // to itself through the fabric).
     let cap = ring_capacity(batch);
-    let mut tx_mat: Vec<Vec<Option<RingTx<NativeMsg>>>> =
+    let mut tx_mat: Vec<Vec<Option<RingTx<CrossMsg>>>> =
         (0..nodes).map(|_| (0..nodes).map(|_| None).collect()).collect();
-    let mut rx_mat: Vec<Vec<Option<RingRx<NativeMsg>>>> =
+    let mut rx_mat: Vec<Vec<Option<RingRx<CrossMsg>>>> =
         (0..nodes).map(|_| (0..nodes).map(|_| None).collect()).collect();
     for src in 0..nodes {
         for dst in 0..nodes {
             if src != dst {
-                let (tx, rx) = spsc::<NativeMsg>(cap);
+                let (tx, rx) = spsc::<CrossMsg>(cap);
                 tx_mat[src][dst] = Some(tx);
                 rx_mat[dst][src] = Some(rx);
             }
@@ -221,8 +212,8 @@ fn run_node<R>(
     clock: Arc<WallClock>,
     stop: Arc<AtomicBool>,
     gates: Vec<Arc<WakeGate>>,
-    tx_row: Vec<Option<RingTx<NativeMsg>>>,
-    mut rx_row: Vec<Option<RingRx<NativeMsg>>>,
+    tx_row: Vec<Option<RingTx<CrossMsg>>>,
+    mut rx_row: Vec<Option<RingRx<CrossMsg>>>,
     done_tx: Sender<usize>,
     setup: &(impl Fn(&Machine) -> ShardApp<R> + Send + Sync),
 ) -> ReplicaExit<R> {
@@ -230,7 +221,7 @@ fn run_node<R>(
     // Sender-side batchers, one per destination. Shared with the fabric
     // port's route closure; flushed at the high-water mark (inside
     // BatchTx) and at the end of every run_wall pass (below).
-    let outbound: Rc<RefCell<Vec<Option<BatchTx<NativeMsg>>>>> = Rc::new(RefCell::new(
+    let outbound: Rc<RefCell<Vec<Option<BatchTx<CrossMsg>>>>> = Rc::new(RefCell::new(
         tx_row
             .into_iter()
             .enumerate()
@@ -250,7 +241,7 @@ fn run_node<R>(
             out[dst]
                 .as_mut()
                 .expect("fabric never routes to self")
-                .send(NativeMsg::Net(rec), &abandoned);
+                .send(CrossMsg::Net(rec), &abandoned);
         }
     }));
     let machine =
@@ -275,7 +266,7 @@ fn run_node<R>(
                 for (dst, tx) in out.iter_mut().enumerate() {
                     if let Some(tx) = tx {
                         debug_assert_ne!(dst, node);
-                        tx.send(NativeMsg::Reduce(rec.clone()), &abandoned);
+                        tx.send(CrossMsg::Reduce(rec.clone()), &abandoned);
                     }
                 }
             }
@@ -316,8 +307,8 @@ fn run_node<R>(
         for rx in rx_row.iter_mut().flatten() {
             while let Some(m) = rx.pop() {
                 match m {
-                    NativeMsg::Net(rec) => net_batch.push(rec),
-                    NativeMsg::Reduce(rec) => ctx.integrate(rec),
+                    CrossMsg::Net(rec) => net_batch.push(rec),
+                    CrossMsg::Reduce(rec) => ctx.integrate(rec),
                 }
             }
         }

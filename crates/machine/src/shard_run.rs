@@ -51,10 +51,12 @@ use crate::machine::{Machine, MachineBuilder, NodeEnv, RunReport};
 use crate::plan::{Engine, RunPlan};
 use crate::watchdog::NodeHangInfo;
 
-/// A boundary record crossing shard threads at an epoch barrier.
+/// A boundary record crossing worker threads: between shards at an epoch
+/// barrier, or between native node threads on their SPSC rings.
 #[derive(Clone)]
 pub enum CrossMsg {
-    /// A network packet or bulk transfer bound for a node on another shard.
+    /// A network packet or bulk transfer bound for a node another thread
+    /// owns.
     Net(CrossNet),
     /// A collective contribution, broadcast to every replica.
     Reduce(ReduceRecord),

@@ -472,9 +472,9 @@ impl NodeStats {
 /// [`PartialEq`] impl. The round fields (`epochs`, `empty_epochs`,
 /// `fence_skips`) and the epoch engine's `deposits`/`batches` are fully
 /// deterministic for a fixed config and shard count, which is what lets
-/// `bench_check` gate them exactly; `wakes` (and every native-backend
-/// field) additionally depends on host timing and core count, so it is
-/// reported but never exact-gated.
+/// `tests/counters_golden.rs` pin them exactly; `wakes` (and every
+/// native-backend field) additionally depends on host timing and core
+/// count, so it is reported but never exact-gated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Synchronization rounds the shard workers stepped through.

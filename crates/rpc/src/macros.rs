@@ -93,6 +93,9 @@
 //! [`CallHandle`]: crate::CallHandle
 //! [`StreamTx`]: crate::StreamTx
 //! [`StreamClosed`]: crate::StreamClosed
+//! [`StreamHandle::next`]: crate::StreamHandle::next
+//! [`StreamHandle::finish`]: crate::StreamHandle::finish
+//! [`StreamHandle::cancel`]: crate::StreamHandle::cancel
 //! [`StreamHandle`]: crate::StreamHandle
 
 /// Selects the method return type (defaults to `()`).

@@ -236,7 +236,7 @@ fn adaptive_fence_matches_naive_reference_for_water_collectives() {
 
 #[test]
 fn sor_256node_is_shard_count_invariant() {
-    // The perfsuite's large-machine row, shrunk to a debug-runtime grid:
+    // The counters golden's sor_256node rows, shrunk to a debug-runtime grid:
     // 256 nodes is where the per-(src,dst) mailbox matrix and the owner
     // table get real fan-out. Answers, end time, and per-node stats must
     // not notice the shard count. The reference leg forces the epoch
